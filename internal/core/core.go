@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"monarch/internal/bufpool"
 	"monarch/internal/obs"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
@@ -187,9 +186,7 @@ func (p PeerConfig) enabled() bool { return p.Tier != 0 }
 // concurrent use.
 type Monarch struct {
 	cfg Config
-	// base anchors the hot path's monotonic clock: time.Since(base)
-	// costs one nanotime read, where a time.Now pair also reads the
-	// wall clock — ~60ns saved per ReadView on the copy-free path.
+	// base anchors the instance's monotonic clock (see now).
 	base   time.Time
 	levels []*driver
 	source *driver // == levels[len-1]
@@ -394,188 +391,18 @@ func (m *Monarch) Shutdown() {
 // on the first read of a file — schedules its background placement
 // into the highest tier with free space.
 func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
-	start := time.Now()
-	e, err := m.lookup(name)
-	if err != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
-		return 0, err
-	}
-	src := m.source.level
-	lvl := e.currentLevel()
-	partial := false
-	peer := false
-	var flags obs.SpanFlags
-	if !m.cfg.Disabled {
-		m.tickProbes()
-		if lvl != src && m.health.isDown(lvl) {
-			// The tier's breaker is open: route straight to the source
-			// and demote the entry so later reads skip this path too —
-			// one metadata update instead of a doomed attempt per read.
-			m.demote(e, lvl)
-			lvl = src
-		}
-		if lvl == src && m.cfg.ChunkSize > 0 {
-			// Mid-copy read-through: a chunked placement may already
-			// hold every chunk this range touches. Serve it from the
-			// upper tier instead of adding PFS pressure.
-			if plvl, ok := e.chunksCover(off, int64(len(p))); ok && !m.health.isDown(plvl) {
-				lvl = plvl
-				partial = true
-			}
-		}
-		if lvl == src && m.cfg.Peer.enabled() && !m.cfg.Peer.Owns(name) &&
-			!m.health.isDown(m.cfg.Peer.Tier) {
-			// This node does not own the file: the owner's cache serves
-			// it over the peer network instead of the PFS.
-			lvl = m.cfg.Peer.Tier
-			peer = true
-		}
-	}
-	d := m.levels[lvl]
-	rctx := ctx
-	var ann *obs.ReadAnnotation
-	var req uint64
-	if peer {
-		// Backend.ReadAt has no flag channel, so the peer tier reports
-		// how it served (a hedged read) through a context annotation.
-		rctx, ann = obs.WithReadAnnotation(ctx)
-		// Mint the cross-node correlation ID: the peernet client stamps
-		// it into the frame header, the serving node stamps it into its
-		// serve span, and both halves land in traces under the same Req.
-		req = obs.NewRequestID()
-		rctx = obs.WithRequestID(rctx, req)
-	}
-	n, rerr := d.backend.ReadAt(rctx, name, p, off)
-	if rerr != nil && peer && errors.Is(rerr, storage.ErrNotExist) {
-		// Clean peer miss: the owner has not cached the file yet. That
-		// is the protocol working, not a failure — no breaker feed, no
-		// fallback event; the source still holds the data.
-		m.stats.peerMisses.Add(1)
-		flags |= obs.FlagPeerMiss
-		peer = false
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr != nil && lvl != src && !peer && !partial &&
-		m.cfg.Eviction != nil && errors.Is(rerr, storage.ErrNotExist) {
-		// Clean eviction race: the snapshot said placed, but a
-		// concurrent eviction re-pointed the entry and removed the tier
-		// copy between our lookup and the read. Like a peer miss this is
-		// the protocol working, not a tier failure — re-serve from the
-		// source with no breaker feed and no fallback event, so the
-		// stress fan-in of evict/re-place/read cannot trip a healthy
-		// tier. Mid-copy (partial) reads are excluded: in-flight chunked
-		// placements are pinned against eviction, so ErrNotExist there
-		// is a real anomaly for the breaker.
-		m.stats.evictionRaces.Add(1)
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr != nil && lvl != src {
-		// A tier failed under us: fall back to the PFS, which always
-		// holds the dataset, count the event, and feed the breaker.
-		m.stats.fallbacks.Add(1)
-		if peer {
-			m.inst.errPeer.Inc()
-			peer = false
-		} else {
-			m.inst.errTierRead.Inc()
-		}
-		flags |= obs.FlagFallback
-		m.event(Event{Kind: EventFallback, File: name, Level: lvl, Err: rerr})
-		if !m.cfg.Disabled {
-			if m.health.recordReadError(lvl) {
-				m.tierDown(lvl, rerr)
-			}
-			if m.health.isDown(lvl) {
-				m.demote(e, lvl)
-			}
-		}
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr == nil && lvl != src && !m.cfg.Disabled {
-		m.health.recordReadOK(lvl)
-	}
-	if rerr != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: d.level, Off: off, Flags: flags, Req: req, Err: rerr, Duration: time.Since(start)})
-		return n, rerr
-	}
-	m.stats.served(d.level, int64(n))
-	if partial && d.level != src {
-		flags |= obs.FlagPartial
-		m.stats.partialHits.Add(1)
-		m.stats.partialHitBytes.Add(int64(n))
-		m.event(Event{Kind: EventPartialHit, File: name, Level: d.level, Bytes: int64(n)})
-	}
-	if peer && d.level != src {
-		flags |= obs.FlagPeer
-		m.stats.peerHits.Add(1)
-		m.stats.peerHitBytes.Add(int64(n))
-		if ann.Flags()&obs.FlagHedged != 0 {
-			flags |= obs.FlagHedged
-			m.stats.peerHedges.Add(1)
-		}
-	}
-	dur := time.Since(start)
-	m.inst.readLatency[d.level].Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: d.level, Off: off, Bytes: int64(n), Flags: flags, Req: req, Duration: dur})
-	m.stats.jobRead(m.tenants, name, d.level, src, int64(n))
-
-	if !m.cfg.Disabled && m.cfg.Staging == StageOnFirstRead && m.owns(name) {
-		// The §III-B flow: first access triggers placement. If the
-		// framework happened to read the whole file, hand the content
-		// to the placer so it can skip the source re-read. Under peer
-		// routing, only owned files are cached locally — non-owned
-		// reads already went through the owner's cache.
-		var full []byte
-		if off == 0 && int64(n) == e.size {
-			full = append([]byte(nil), p[:n]...)
-		}
-		m.placer.onAccess(e, full)
-	}
-	if m.cfg.Eviction != nil {
-		m.cfg.Eviction.OnAccess(name)
-		if !m.cfg.Disabled && m.owns(name) {
-			m.maybePromote(e)
-		}
-	}
-	return n, nil
-}
-
-// maybePromote re-enters an unplaceable file into the placement
-// pipeline. Heat-style policies (promoter) gate the revival: the file
-// must have become hot enough to displace a colder resident, and
-// HeatPolicy.ShouldPromote rate-limits the check to once per file per
-// epoch. Plain recency policies (LRU/FIFO) revive unconditionally —
-// under them an access *is* the claim to residence, and the books they
-// keep lag the chunk-finalisation tasks, so a placement skipped during
-// a burst must be retriable on the next touch. The placement itself
-// then runs the normal admission path: if no victim still qualifies by
-// the time it executes, the file simply returns to unplaceable.
-func (m *Monarch) maybePromote(e *fileEntry) {
-	if e.currentState() != stateUnplaceable {
-		return
-	}
-	if pr, ok := m.cfg.Eviction.(promoter); ok && !pr.ShouldPromote(e.name) {
-		return
-	}
-	if !e.makeReplaceable() {
-		return
-	}
-	m.stats.promotions.Add(1)
-	m.event(Event{Kind: EventPromoted, File: e.name, Level: -1, Bytes: e.size})
-	m.placer.onAccess(e, nil)
+	_, n, err := m.read(ctx, name, p, off, int64(len(p)), false)
+	return n, err
 }
 
 // ReadView serves up to n bytes of the named file at offset off as a
 // borrowed, read-only view — the copy-free variant of ReadAt. When the
 // file is fully placed on a healthy tier whose backend lends views
 // (MemFS, OSFS), the returned Data points straight at the tier's bytes
-// with no copy into a caller buffer; every other case (mid-copy,
-// peer-routed, demoted, unknown backend) falls through to the full
-// ReadAt machinery into pooled scratch, so ReadView is always exactly
-// as available as ReadAt and moves the same counters, histograms and
-// spans.
+// with no copy into a caller buffer; every other route (mid-copy,
+// peer-routed, demoted, unknown backend) is served like ReadAt into
+// pooled scratch, so ReadView is always exactly as available as ReadAt
+// and moves the same counters, histograms, spans and events.
 //
 // The caller MUST Release the view exactly once, promptly: a MemFS
 // view holds the file's read lock, so sitting on one blocks writers to
@@ -584,55 +411,8 @@ func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (stor
 	if n < 0 {
 		return storage.View{}, fmt.Errorf("monarch: negative view length %d", n)
 	}
-	start := time.Since(m.base)
-	e, err := m.lookup(name)
-	if err != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})
-		return storage.View{}, err
-	}
-	// Fast path: fully placed on a healthy tier that lends views. The
-	// snapshot is one atomic load; a stale answer (concurrent demotion
-	// or eviction) surfaces as a backend error and falls through to the
-	// general path's fallback machinery.
-	if st, lvl, _ := e.snapshot(); st == statePlaced && !m.cfg.Disabled {
-		m.tickProbes()
-		if d := m.levels[lvl]; !m.health.isDown(lvl) {
-			if vr := d.viewReader(); vr != nil {
-				v, rerr := vr.ReadView(ctx, name, off, n)
-				if rerr == nil {
-					m.health.recordReadOK(lvl)
-					m.stats.served(lvl, int64(len(v.Data)))
-					m.stats.jobRead(m.tenants, name, lvl, m.source.level, int64(len(v.Data)))
-					dur := time.Since(m.base) - start
-					m.inst.readLatency[lvl].Observe(dur.Seconds())
-					m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(len(v.Data)), Duration: dur})
-					if m.cfg.Eviction != nil {
-						m.cfg.Eviction.OnAccess(name)
-					}
-					return v, nil
-				}
-				if errors.Is(rerr, errors.ErrUnsupported) {
-					// A wrapper claimed ViewReader but its wrapped
-					// backend lacks it; stop asking.
-					d.viewOff.Store(true)
-				}
-			}
-		}
-	}
-	// General path: ReadAt into pooled scratch (full breaker, mid-copy,
-	// peer and fallback semantics); Release returns the buffer.
-	cn := n
-	if rem := e.size - off; off >= 0 && rem < cn {
-		cn = max(rem, 0)
-	}
-	buf := bufpool.Get(int(cn))
-	nn, rerr := m.ReadAt(ctx, name, buf, off)
-	if rerr != nil {
-		bufpool.Put(buf)
-		return storage.View{}, rerr
-	}
-	return storage.PooledView(buf, nn), nil
+	v, _, err := m.read(ctx, name, nil, off, n, true)
+	return v, err
 }
 
 // ReadFull reads the entire named file through the middleware.
@@ -669,6 +449,10 @@ func (m *Monarch) LevelOf(name string) (int, error) {
 	}
 	return e.currentLevel(), nil
 }
+
+// now reads the instance's monotonic clock: time.Since(base) costs one
+// nanotime read, where a time.Now pair also reads the wall clock.
+func (m *Monarch) now() time.Duration { return time.Since(m.base) }
 
 // owns reports whether this node should cache name locally. Without
 // peer routing every node owns the whole namespace.

@@ -65,44 +65,19 @@ const (
 	eventKinds
 )
 
+// eventKindNames are the kind names, in EventKind order.
+var eventKindNames = [eventKinds]string{
+	"placed", "skipped", "failed", "evicted", "fallback", "demoted", "retried", "tier-down",
+	"tier-up", "chunk-placed", "partial-hit", "op-error", "promoted", "flushed",
+	"write-stalled", "recovered",
+}
+
 // String names the kind.
 func (k EventKind) String() string {
-	switch k {
-	case EventPlaced:
-		return "placed"
-	case EventSkipped:
-		return "skipped"
-	case EventFailed:
-		return "failed"
-	case EventEvicted:
-		return "evicted"
-	case EventFallback:
-		return "fallback"
-	case EventDemoted:
-		return "demoted"
-	case EventRetried:
-		return "retried"
-	case EventTierDown:
-		return "tier-down"
-	case EventTierUp:
-		return "tier-up"
-	case EventChunkPlaced:
-		return "chunk-placed"
-	case EventPartialHit:
-		return "partial-hit"
-	case EventOpError:
-		return "op-error"
-	case EventPromoted:
-		return "promoted"
-	case EventFlushed:
-		return "flushed"
-	case EventWriteStalled:
-		return "write-stalled"
-	case EventRecovered:
-		return "recovered"
-	default:
+	if k < 0 || k >= eventKinds {
 		return "unknown"
 	}
+	return eventKindNames[k]
 }
 
 // Event is one middleware occurrence worth surfacing to operators.

@@ -57,12 +57,20 @@ func (p *scriptedPolicy) Victim(int) (string, bool) {
 //     machine (probed with a tryQueue/cancelQueued round trip).
 //  3. The quota ledger exactly matches per-job sums over placed
 //     entries (and is therefore non-negative) when tenancy is on.
+//  4. Every placed entry's copy exists on its tier: a placement racing
+//     an eviction's removal must never leave a ghost the metadata
+//     still routes reads to.
 func sweepEvictionInvariants(t *testing.T, m *Monarch) {
 	t.Helper()
 	for _, e := range m.meta.sortedEntries() {
 		st, lvl, armed := e.snapshot()
 		if st != stateQueued && armed {
 			t.Errorf("%s: state %v at level %d but chunk bitmap still armed", e.name, st, lvl)
+		}
+		if st == statePlaced {
+			if _, err := m.levels[lvl].backend.Stat(context.Background(), e.name); err != nil {
+				t.Errorf("%s: placed on tier %d but its copy is gone: %v", e.name, lvl, err)
+			}
 		}
 		if st == stateSource {
 			if !e.tryQueue() {

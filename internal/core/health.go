@@ -400,11 +400,11 @@ func (m *Monarch) demote(e *fileEntry, from int) {
 }
 
 // tickProbes advances the probe gate of every Down tier; called once
-// per foreground read. The atomic state load keeps the healthy path
-// free of locks.
+// per foreground read, never in Disabled mode. The atomic state load
+// keeps the healthy path free of locks.
 func (m *Monarch) tickProbes() {
 	h := m.health
-	if h == nil || h.cfg.Disabled {
+	if h == nil || h.cfg.Disabled || m.cfg.Disabled {
 		return
 	}
 	for lvl, t := range h.tiers {
@@ -434,15 +434,14 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 	if cleanupErr != nil {
 		// The probe file lingering on a live tier is harmless but worth
 		// knowing about; this error used to be discarded.
-		m.inst.errCleanup.Inc()
-		m.event(Event{Kind: EventOpError, File: probeFile, Level: d.level, Err: cleanupErr})
+		m.opError(stageCleanup, probeFile, d.level, cleanupErr)
 	}
 	if ctx.Err() != nil {
 		m.health.probeAborted(d.level)
 		return
 	}
 	if err != nil {
-		m.inst.errProbe.Inc()
+		m.inst.errs[stageProbe].Inc()
 	}
 	m.span(obs.Span{Kind: obs.SpanTierProbe, Tier: d.level, Err: err, Duration: time.Since(start)})
 	if recovered := m.health.probeDone(d.level, err == nil); recovered {

@@ -127,14 +127,23 @@ func FuzzMetaOracle(f *testing.F) {
 			case 12:
 				// The live eviction transition: must agree with the
 				// oracle, must only fire on entries placed on the given
-				// level, and must leave the entry re-placeable with no
-				// chunk state behind.
+				// level, must keep the entry out of the placement
+				// pipeline until the tier removal returns, and must then
+				// leave it re-placeable with no chunk state behind.
 				g := ce.markEvictedFrom(int(arg)%levels, levels-1)
 				w := oe.markEvictedFrom(int(arg)%levels, levels-1)
 				if g != w {
 					t.Fatalf("markEvictedFrom = %v, oracle %v", g, w)
 				}
 				if g {
+					if st, lvl, armed := ce.snapshot(); st != stateEvicting || lvl != levels-1 || armed {
+						t.Fatalf("evicting entry in state %d at level %d (armed=%v), want evicting at the source", st, lvl, armed)
+					}
+					if ce.tryQueue() || ce.makeReplaceable() {
+						t.Fatalf("evicting entry re-entered placement before its removal returned")
+					}
+					ce.finishEvict()
+					oe.finishEvict()
 					if st, _, armed := ce.snapshot(); st != stateSource || armed {
 						t.Fatalf("evicted entry in state %d (armed=%v), want re-placeable source", st, armed)
 					}

@@ -31,6 +31,12 @@ const (
 	// tripped; it is served from the source until the tier recovers and
 	// resetForReplacement sends it back through the placement pipeline.
 	stateDemoted
+	// stateEvicting: an eviction re-pointed the file at the source and is
+	// removing its tier copy. Reads go to the source, but the entry stays
+	// out of the placement pipeline until the removal returns: a
+	// re-placement landing first would lose its new copy to the stale
+	// removal while the metadata still said placed.
+	stateEvicting
 )
 
 // fileEntry is the paper's "file info": size, name and current storage
@@ -60,10 +66,16 @@ type fileEntry struct {
 	// and the snapshot is always internally consistent.
 	snap atomic.Uint64
 
+	// gen moves whenever a tier copy of the file may be removed or
+	// replaced under a reader: on eviction, and before a chunked
+	// placement allocates a fresh zero-filled copy. A read that was
+	// routed to a copy and finds gen moved when it returns cannot trust
+	// what it read.
+	gen atomic.Uint32
+
 	mu       sync.Mutex
 	level    int
 	state    placementState
-	retries  int       // placement attempts beyond the first (observability)
 	queuedAt time.Time // when the current placement was enqueued (latency spans)
 
 	// Chunked-placement residency (armed only while a chunked copy is
@@ -84,6 +96,15 @@ func (e *fileEntry) publish() {
 		s |= snapArmed
 	}
 	e.snap.Store(s)
+}
+
+// publishDisarmed drops any chunked-placement residency and republishes
+// the snapshot; callers hold e.mu.
+func (e *fileEntry) publishDisarmed() {
+	e.chunkBits = nil
+	e.chunkSize = 0
+	e.chunksLeft = 0
+	e.publish()
 }
 
 // snapshot returns the packed (state, level, armed) triple with one
@@ -132,10 +153,7 @@ func (e *fileEntry) markPlaced(level int) {
 	defer e.mu.Unlock()
 	e.level = level
 	e.state = statePlaced
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.publishDisarmed()
 }
 
 // chunkCount returns how many chunk-size pieces cover size bytes.
@@ -186,10 +204,7 @@ func (e *fileEntry) markChunk(i int) bool {
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.publishDisarmed()
 }
 
 // chunksCover reports whether every chunk overlapping [off, off+n)
@@ -233,10 +248,7 @@ func (e *fileEntry) markUnplaceable() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.state = stateUnplaceable
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.publishDisarmed()
 }
 
 // markEvicted sends the file back to the source level so a later access
@@ -247,12 +259,10 @@ func (e *fileEntry) markUnplaceable() {
 func (e *fileEntry) markEvicted(sourceLevel int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.gen.Add(1)
 	e.level = sourceLevel
 	e.state = stateSource
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.publishDisarmed()
 }
 
 // markEvictedFrom atomically re-points a file placed on from at the
@@ -261,7 +271,8 @@ func (e *fileEntry) markEvicted(sourceLevel int) {
 // with an in-flight (possibly chunk-armed) placement, which is what
 // pins them against eviction — so a victim chosen from a stale policy
 // view is skipped instead of corrupted. The evicted entry lands in
-// stateSource: always immediately re-placeable on its next access.
+// stateEvicting; finishEvict makes it re-placeable once the tier copy's
+// removal has returned.
 func (e *fileEntry) markEvictedFrom(from, sourceLevel int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -269,12 +280,21 @@ func (e *fileEntry) markEvictedFrom(from, sourceLevel int) bool {
 		return false
 	}
 	e.level = sourceLevel
-	e.state = stateSource
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.state = stateEvicting
+	e.gen.Add(1)
+	e.publishDisarmed()
 	return true
+}
+
+// finishEvict returns an evicting entry to Source, immediately
+// re-placeable on its next access.
+func (e *fileEntry) finishEvict() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state == stateEvicting {
+		e.state = stateSource
+		e.publish()
+	}
 }
 
 // markDemoted re-points a file placed on a tripped tier at the source
@@ -301,17 +321,7 @@ func (e *fileEntry) cancelQueued() {
 	if e.state == stateQueued {
 		e.state = stateSource
 	}
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
-}
-
-// noteRetry counts one placement retry on the entry.
-func (e *fileEntry) noteRetry() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retries++
+	e.publishDisarmed()
 }
 
 // makeReplaceable sends a demoted or unplaceable entry back to Source

@@ -5,44 +5,37 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 
 	"monarch/internal/obs"
 	"monarch/internal/pool"
 )
 
-// Error stages for the monarch_errors_total funnel. Every error the
+// errStage indexes the monarch_errors_total funnel. Every error the
 // middleware observes — including ones it previously dropped on
 // best-effort paths — increments exactly one stage.
+type errStage int
+
 const (
-	// stageTierRead: an upper-tier read failed and the read fell back
-	// to the source.
-	stageTierRead = "tier-read"
-	// stagePeer: a peer-tier read failed (transport or remote error —
-	// NOT a clean miss) and the read fell back to the source.
-	stagePeer = "peer"
-	// stageRead: a foreground read failed to the caller.
-	stageRead = "read"
-	// stagePlacement: a placement reached terminal failure.
-	stagePlacement = "placement"
-	// stageChunkCopy: one chunk copy of a chunked placement failed
-	// (counted once per failed job, by the first failing worker).
-	stageChunkCopy = "chunk-copy"
-	// stageProbe: a recovery probe found the tier still dead.
-	stageProbe = "probe"
-	// stageEvict: an eviction victim could not be removed.
-	stageEvict = "evict"
-	// stageCleanup: a best-effort removal failed (partial-copy cleanup
-	// after a failed chunk job, probe scratch file).
-	stageCleanup = "cleanup"
-	// stageWrite: a foreground Create/WriteAt/Remove failed to the
-	// caller.
-	stageWrite = "write"
-	// stageFlush: a background flush of a write-back file to the PFS
-	// failed (the bytes stay dirty and journaled; the flush retries).
-	stageFlush = "flush"
-	// stageJournal: a write-journal append, compaction or close failed.
-	stageJournal = "journal"
+	stageTierRead  errStage = iota // an upper-tier read failed and the read fell back to the source
+	stagePeer                      // a peer-tier read failed (not a clean miss) and the read fell back
+	stageRead                      // a foreground read failed to the caller
+	stagePlacement                 // a placement reached terminal failure
+	stageChunkCopy                 // a chunked placement's copy failed (once per failed job)
+	stageProbe                     // a recovery probe found the tier still dead
+	stageEvict                     // an eviction victim could not be removed
+	stageCleanup                   // a best-effort removal failed (partial copy, probe scratch, trace sink)
+	stageWrite                     // a foreground Create/WriteAt/Remove failed to the caller
+	stageFlush                     // a write-back flush to the PFS failed (the bytes stay dirty and retry)
+	stageJournal                   // a write-journal append, compaction or close failed
+	errStages
 )
+
+// stageNames are the stage label values, in errStage order.
+var stageNames = [errStages]string{
+	"tier-read", "peer", "read", "placement", "chunk-copy", "probe", "evict", "cleanup",
+	"write", "flush", "journal",
+}
 
 // instruments bundles the registry and every handle the middleware
 // updates outside the statsCollector: latency histograms, the error
@@ -57,18 +50,7 @@ type instruments struct {
 	writeLatency     *obs.Histogram   // successful foreground writes, ack latency
 	flushLatency     *obs.Histogram   // one write-back flush, tier 0 → PFS
 
-	errTierRead  *obs.Counter
-	errPeer      *obs.Counter
-	errRead      *obs.Counter
-	errPlacement *obs.Counter
-	errChunkCopy *obs.Counter
-	errProbe     *obs.Counter
-	errEvict     *obs.Counter
-	errCleanup   *obs.Counter
-	errWrite     *obs.Counter
-	errFlush     *obs.Counter
-	errJournal   *obs.Counter
-
+	errs   [errStages]*obs.Counter
 	events [eventKinds]*obs.Counter
 }
 
@@ -94,18 +76,10 @@ func (m *Monarch) initObs() {
 	m.inst.flushLatency = reg.Histogram("monarch_flush_latency_seconds",
 		"Latency of background write-back flushes (tier 0 to the PFS).", nil)
 
-	const errHelp = "Errors observed by the middleware, by pipeline stage."
-	m.inst.errTierRead = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageTierRead))
-	m.inst.errPeer = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stagePeer))
-	m.inst.errRead = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageRead))
-	m.inst.errPlacement = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stagePlacement))
-	m.inst.errChunkCopy = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageChunkCopy))
-	m.inst.errProbe = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageProbe))
-	m.inst.errEvict = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageEvict))
-	m.inst.errCleanup = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageCleanup))
-	m.inst.errWrite = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageWrite))
-	m.inst.errFlush = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageFlush))
-	m.inst.errJournal = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageJournal))
+	for st, name := range stageNames {
+		m.inst.errs[st] = reg.Counter("monarch_errors_total",
+			"Errors observed by the middleware, by pipeline stage.", obs.L("stage", name))
+	}
 
 	for k := EventKind(0); k < eventKinds; k++ {
 		m.inst.events[k] = reg.Counter("monarch_events_total",
@@ -212,6 +186,108 @@ func (m *Monarch) event(e Event) {
 	}
 	m.cfg.Events.emit(e)
 	m.traceState(e)
+}
+
+// outcome is one finished foreground read or write, or background
+// flush: its span (Tier is the level that served, or failed last; -1
+// before routing; a flush's Bytes are the file bytes pushed) plus
+// everything else record needs to account it.
+type outcome struct {
+	obs.Span
+
+	// Reads: the route taken, and how its first attempt (on level from)
+	// missed.
+	route routeKind
+	from  int
+	miss  missKind
+	cause error
+
+	stalled bool  // a write blocked on the dirty budget
+	dirty   int64 // dirty bytes a flush retired
+}
+
+// record is the single writer of read and write outcomes: the Stats
+// counters, the per-tier read latency histogram, the error stages, the
+// span and the outcome's events all come from here, so they can never
+// disagree.
+func (m *Monarch) record(o *outcome, dur time.Duration) {
+	flags := o.Flags
+	switch o.miss {
+	case missPeer:
+		m.stats.peerMisses.Inc()
+		flags |= obs.FlagPeerMiss
+	case missEvicted:
+		m.stats.evictionRaces.Inc()
+	case missFailed:
+		stage := stageTierRead
+		if o.route == routePeer {
+			stage = stagePeer
+		}
+		m.stats.fallbacks.Inc()
+		m.inst.errs[stage].Inc()
+		flags |= obs.FlagFallback
+		m.event(Event{Kind: EventFallback, File: o.File, Level: o.from, Err: o.cause})
+	}
+	switch {
+	case o.Err != nil && o.Kind == obs.SpanFlush:
+		m.opError(stageFlush, o.File, o.Tier, o.Err)
+	case o.Err != nil:
+		stage := stageWrite
+		if o.Kind == obs.SpanRead {
+			stage = stageRead
+		}
+		m.inst.errs[stage].Inc()
+	case o.Kind == obs.SpanRead:
+		m.stats.readsServed[o.Tier].Inc()
+		m.stats.bytesServed[o.Tier].Add(o.Bytes)
+		if o.Tier != m.source.level && o.route == routePartial {
+			flags |= obs.FlagPartial
+			m.stats.partialHits.Inc()
+			m.stats.partialHitBytes.Add(o.Bytes)
+			m.event(Event{Kind: EventPartialHit, File: o.File, Level: o.Tier, Bytes: o.Bytes})
+		} else if o.Tier != m.source.level && o.route == routePeer {
+			flags |= obs.FlagPeer
+			m.stats.peerHits.Inc()
+			m.stats.peerHitBytes.Add(o.Bytes)
+			if flags&obs.FlagHedged != 0 {
+				m.stats.peerHedges.Inc()
+			}
+		}
+		m.inst.readLatency[o.Tier].Observe(dur.Seconds())
+		m.stats.jobRead(m.tenants, o.File, o.Tier, m.source.level, o.Bytes)
+	case o.Kind == obs.SpanWrite:
+		m.stats.writes.Inc()
+		if o.Flags&obs.FlagWriteBack != 0 {
+			m.stats.writeBacks.Inc()
+		}
+		m.stats.writtenBytesFg.Add(o.Bytes)
+		if o.stalled {
+			m.event(Event{Kind: EventWriteStalled, File: o.File, Level: o.Tier, Bytes: o.Bytes})
+		}
+		m.inst.writeLatency.Observe(dur.Seconds())
+	case o.Kind == obs.SpanRemove:
+		m.stats.removes.Inc()
+	case o.Kind == obs.SpanFlush:
+		m.stats.flushes.Inc()
+		m.stats.flushedBytes.Add(o.dirty)
+		m.inst.flushLatency.Observe(dur.Seconds())
+		m.event(Event{Kind: EventFlushed, File: o.File, Level: o.Tier, Bytes: o.dirty})
+	}
+	if m.spanHook != nil {
+		s := o.Span
+		s.Flags, s.Duration = flags, dur
+		if o.Err != nil && o.Kind != obs.SpanFlush {
+			s.Bytes = 0 // a failed read or write moved nothing
+		}
+		m.spanHook(s)
+	}
+}
+
+// opError charges a failed best-effort side operation to its error
+// stage and surfaces it as an EventOpError.
+func (m *Monarch) opError(stage errStage, file string, level int, err error) {
+	m.inst.errs[stage].Inc()
+	m.event(Event{Kind: EventOpError, File: file, Level: level, Err: err})
 }
 
 // span delivers a completed span to the configured consumers (the

@@ -44,10 +44,12 @@ func (pl *placer) submit(task pool.Task) bool {
 }
 
 // onAccess is called from the foreground read path. If this is the
-// file's first access it schedules a placement task; full, when
+// file's first access it schedules a placement task; whole, when
 // non-nil, is the complete file content the framework just read (the
-// §III-B fast path that skips the source re-read).
-func (pl *placer) onAccess(e *fileEntry, full []byte) {
+// §III-B fast path that skips the source re-read). It is borrowed: the
+// placer copies it only once it has actually queued the placement, so
+// reads of files already past the source state never pay for a copy.
+func (pl *placer) onAccess(e *fileEntry, whole []byte) {
 	// Snapshot fast-skip: once the file left Source (queued, placed,
 	// unplaceable, ...) every subsequent read would pay the entry mutex
 	// in tryQueue just to learn there is nothing to do. tryQueue stays
@@ -64,6 +66,7 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if !e.tryQueue() {
 		return
 	}
+	full := append([]byte(nil), whole...)
 	if !pl.submit(func(ctx context.Context) { pl.place(ctx, e, full, 1, true) }) {
 		e.markUnplaceable() // pool closed: no placement for this job
 		return
@@ -121,7 +124,7 @@ func (pl *placer) placementSkipped(e *fileEntry, cause error) {
 func (pl *placer) placementFailed(e *fileEntry, level, attempt int, err error) {
 	m := pl.m
 	m.stats.placementErrors.Add(1)
-	m.inst.errPlacement.Inc()
+	m.inst.errs[stagePlacement].Inc()
 	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: level, Bytes: e.size,
 		Attempt: attempt, Err: err, Duration: sinceQueued(e)})
 	m.event(Event{Kind: EventFailed, File: e.name, Level: level, Err: err})
@@ -214,7 +217,6 @@ func (pl *placer) retry(e *fileEntry, full []byte, attempt, level int, err error
 	if !r.enabled() || attempt >= r.MaxAttempts || !r.transient(err) {
 		return false
 	}
-	e.noteRetry()
 	m.stats.retries.Add(1)
 	m.event(Event{Kind: EventRetried, File: e.name, Level: level, Err: err})
 	next := attempt + 1
@@ -287,6 +289,7 @@ var errChunksDelegated = errors.New("monarch: chunked placement in flight")
 // running, or the Allocate error (ErrNoSpace routes the caller to the
 // next level; errors.ErrUnsupported routes to the whole-file path).
 func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, e *fileEntry, attempt int) error {
+	e.gen.Add(1) // the allocation zero-fills whatever copy a lagging read was routed to
 	if err := rw.Allocate(ctx, e.name, e.size); err != nil {
 		return err
 	}
@@ -342,7 +345,7 @@ func (j *chunkJob) fail(err error) {
 		j.err = err
 		// First failing worker charges the error funnel — exactly once
 		// per failed job, however many workers observe the failure.
-		j.pl.m.inst.errChunkCopy.Inc()
+		j.pl.m.inst.errs[stageChunkCopy].Inc()
 	}
 }
 
@@ -454,8 +457,7 @@ func (j *chunkJob) finish(ctx context.Context) {
 	// torn file, then feed the breaker and retry or give up — only this
 	// file is affected unless the breaker trips the whole tier.
 	if rmErr := d.backend.Remove(ctx, e.name); rmErr != nil && !errors.Is(rmErr, storage.ErrNotExist) {
-		m.inst.errCleanup.Inc()
-		m.event(Event{Kind: EventOpError, File: e.name, Level: d.level, Err: rmErr})
+		m.opError(stageCleanup, e.name, d.level, rmErr)
 	}
 	if m.health.recordWriteError(d.level) {
 		m.tierDown(d.level, err)
@@ -541,8 +543,9 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	// Metadata first: the moment the entry re-points at the source, new
 	// lookups route there and never observe the removal below. A reader
 	// already holding the placed snapshot may race Remove and get
-	// ErrNotExist from the tier; ReadAt treats that as a clean eviction
-	// race (re-served from the source, no breaker feed).
+	// ErrNotExist from the tier; the read path treats that as a clean
+	// eviction race (re-served from the source, no breaker feed). The
+	// entry stays out of the placement pipeline until Remove returns.
 	if !e.markEvictedFrom(d.level, m.source.level) {
 		m.cfg.Eviction.OnEvicted(name) // stale books: drop the ghost
 		return false, nil
@@ -551,11 +554,12 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	job := m.tenants.job(name)
 	m.tenants.release(job, d.level, e.size)
 	m.cfg.Eviction.OnEvicted(name)
-	if err := d.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
+	err := d.backend.Remove(ctx, name)
+	e.finishEvict()
+	if err != nil && !errors.Is(err, storage.ErrNotExist) {
 		// The entry already routes to the source so reads stay correct,
 		// but the tier freed nothing — surface the wedged eviction.
-		m.inst.errEvict.Inc()
-		m.event(Event{Kind: EventOpError, File: name, Level: d.level, Err: err})
+		m.opError(stageEvict, name, d.level, err)
 		return false, err
 	}
 	m.stats.evictions.Add(1)

@@ -60,9 +60,10 @@ type Stats struct {
 	// Evictions counts files removed from a tier by the eviction policy
 	// (the heat engine under tenancy, or an abl-eviction ablation).
 	Evictions int64
-	// EvictionRaces counts reads that looked up a placed file and found
-	// its tier copy already removed by a concurrent eviction; they were
-	// re-served from the source with no breaker feed, like peer misses.
+	// EvictionRaces counts reads that looked up a placed (or mid-copy)
+	// file and found its tier copy already removed — or replaced — by a
+	// concurrent eviction; they were re-served from the source with no
+	// breaker feed, like peer misses.
 	EvictionRaces int64
 	// Promotions counts unplaceable files re-entered into the placement
 	// pipeline because their heat came to justify displacing a colder
@@ -209,6 +210,51 @@ type jobCounters struct {
 	evictions *obs.Counter
 }
 
+// counterRow ties one registry counter to its Stats field.
+type counterRow struct {
+	c          **obs.Counter
+	v          *int64
+	name, help string
+}
+
+// counters is the one table of scalar counters: init registers each
+// handle from it and snapshot copies each value into its Stats field.
+func (c *statsCollector) counters(s *Stats) []counterRow {
+	return []counterRow{
+		{&c.placements, &s.Placements, "monarch_placements_total", "Files successfully moved to an upper tier."},
+		{&c.placedBytes, &s.PlacedBytes, "monarch_placed_bytes_total", "Bytes of successfully placed files."},
+		{&c.placementSkips, &s.PlacementSkips, "monarch_placement_skips_total", "Files left on the PFS because no tier had room or fetching was disabled."},
+		{&c.placementErrors, &s.PlacementErrors, "monarch_placement_errors_total", "Placements aborted by an operational failure."},
+		{&c.fullReadReuses, &s.FullReadReuses, "monarch_full_read_reuses_total", "Placements satisfied from content the framework had already read in full."},
+		{&c.chunkPlacements, &s.ChunkPlacements, "monarch_chunk_placements_total", "Individual chunks written by chunked placements."},
+		{&c.partialHits, &s.PartialHits, "monarch_partial_hits_total", "Reads served from an upper tier while the file's chunked placement was in flight."},
+		{&c.partialHitBytes, &s.PartialHitBytes, "monarch_partial_hit_bytes_total", "Bytes served by partial (mid-copy) hits."},
+		{&c.peerHits, &s.PeerHits, "monarch_peer_hits_total", "Reads served by the peer cache tier (non-owned files, read from their owner's cache)."},
+		{&c.peerHitBytes, &s.PeerHitBytes, "monarch_peer_hit_bytes_total", "Bytes served by peer cache hits."},
+		{&c.peerMisses, &s.PeerMisses, "monarch_peer_misses_total", "Peer-routed reads whose owner had not cached the file; re-served from the source."},
+		{&c.peerHedges, &s.PeerHedges, "monarch_peer_hedged_reads_total", "Peer hits served under a hedge: a second replica raced a slow primary."},
+		{&c.fallbacks, &s.Fallbacks, "monarch_fallbacks_total", "Reads re-served from the PFS after an upper-tier failure."},
+		{&c.evictions, &s.Evictions, "monarch_evictions_total", "Files removed from a tier by the eviction policy."},
+		{&c.evictionRaces, &s.EvictionRaces, "monarch_eviction_read_races_total", "Reads that raced a concurrent eviction and were cleanly re-served from the source."},
+		{&c.promotions, &s.Promotions, "monarch_promotions_total", "Unplaceable files re-entered into placement because their heat justified it."},
+		{&c.demotions, &s.Demotions, "monarch_demotions_total", "Entries re-pointed from a Down tier to the source level."},
+		{&c.retries, &s.PlacementRetries, "monarch_placement_retries_total", "Placements re-queued after a transient failure."},
+		{&c.tierTrips, &s.TierTrips, "monarch_tier_trips_total", "Circuit-breaker openings (Healthy/Suspect to Down)."},
+		{&c.tierRecoveries, &s.TierRecoveries, "monarch_tier_recoveries_total", "Successful recovery probes (Down to Healthy)."},
+		{&c.probes, &s.Probes, "monarch_probes_total", "Recovery probes attempted against Down tiers."},
+		{&c.creates, &s.Creates, "monarch_creates_total", "Writable files registered through Create."},
+		{&c.writes, &s.Writes, "monarch_writes_total", "Foreground WriteAt acks (write-through and write-back)."},
+		{&c.writeBacks, &s.WriteBacks, "monarch_write_backs_total", "Writes acked by tier 0 with the PFS flush deferred."},
+		{&c.writtenBytesFg, &s.WrittenBytes, "monarch_written_bytes_total", "Foreground bytes acked by the write path."},
+		{&c.flushes, &s.Flushes, "monarch_flushes_total", "Background flushes of write-back files to the PFS."},
+		{&c.flushedBytes, &s.FlushedBytes, "monarch_flushed_bytes_total", "Dirty bytes retired by background flushes."},
+		{&c.writeStalls, &s.WriteStalls, "monarch_write_stalls_total", "Writers that blocked on the dirty budget until the flusher drained."},
+		{&c.removes, &s.Removes, "monarch_removes_total", "Writable files deleted through Remove."},
+		{&c.recoveredFiles, &s.RecoveredFiles, "monarch_recovered_files_total", "Files whose journaled write-back state was replayed into the PFS after a crash."},
+		{&c.placementPauses, &s.PlacementPauses, "monarch_placement_pauses_total", "Background placement tasks paused by the checkpoint-burst gate."},
+	}
+}
+
 func (c *statsCollector) init(reg *obs.Registry, levels int) {
 	c.reg = reg
 	c.jobs = make(map[string]*jobCounters)
@@ -221,73 +267,9 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 		c.writtenBytes = append(c.writtenBytes, reg.Counter("monarch_tier_write_bytes_total",
 			"Placement bytes written into each hierarchy level (whole files and chunks).", tier))
 	}
-	c.placements = reg.Counter("monarch_placements_total",
-		"Files successfully moved to an upper tier.")
-	c.placedBytes = reg.Counter("monarch_placed_bytes_total",
-		"Bytes of successfully placed files.")
-	c.placementSkips = reg.Counter("monarch_placement_skips_total",
-		"Files left on the PFS because no tier had room or fetching was disabled.")
-	c.placementErrors = reg.Counter("monarch_placement_errors_total",
-		"Placements aborted by an operational failure.")
-	c.fullReadReuses = reg.Counter("monarch_full_read_reuses_total",
-		"Placements satisfied from content the framework had already read in full.")
-	c.chunkPlacements = reg.Counter("monarch_chunk_placements_total",
-		"Individual chunks written by chunked placements.")
-	c.partialHits = reg.Counter("monarch_partial_hits_total",
-		"Reads served from an upper tier while the file's chunked placement was in flight.")
-	c.partialHitBytes = reg.Counter("monarch_partial_hit_bytes_total",
-		"Bytes served by partial (mid-copy) hits.")
-	c.peerHits = reg.Counter("monarch_peer_hits_total",
-		"Reads served by the peer cache tier (non-owned files, read from their owner's cache).")
-	c.peerHitBytes = reg.Counter("monarch_peer_hit_bytes_total",
-		"Bytes served by peer cache hits.")
-	c.peerMisses = reg.Counter("monarch_peer_misses_total",
-		"Peer-routed reads whose owner had not cached the file; re-served from the source.")
-	c.peerHedges = reg.Counter("monarch_peer_hedged_reads_total",
-		"Peer hits served under a hedge: a second replica raced a slow primary.")
-	c.fallbacks = reg.Counter("monarch_fallbacks_total",
-		"Reads re-served from the PFS after an upper-tier failure.")
-	c.evictions = reg.Counter("monarch_evictions_total",
-		"Files removed from a tier by the eviction policy.")
-	c.evictionRaces = reg.Counter("monarch_eviction_read_races_total",
-		"Reads that raced a concurrent eviction and were cleanly re-served from the source.")
-	c.promotions = reg.Counter("monarch_promotions_total",
-		"Unplaceable files re-entered into placement because their heat justified it.")
-	c.demotions = reg.Counter("monarch_demotions_total",
-		"Entries re-pointed from a Down tier to the source level.")
-	c.retries = reg.Counter("monarch_placement_retries_total",
-		"Placements re-queued after a transient failure.")
-	c.tierTrips = reg.Counter("monarch_tier_trips_total",
-		"Circuit-breaker openings (Healthy/Suspect to Down).")
-	c.tierRecoveries = reg.Counter("monarch_tier_recoveries_total",
-		"Successful recovery probes (Down to Healthy).")
-	c.probes = reg.Counter("monarch_probes_total",
-		"Recovery probes attempted against Down tiers.")
-	c.creates = reg.Counter("monarch_creates_total",
-		"Writable files registered through Create.")
-	c.writes = reg.Counter("monarch_writes_total",
-		"Foreground WriteAt acks (write-through and write-back).")
-	c.writeBacks = reg.Counter("monarch_write_backs_total",
-		"Writes acked by tier 0 with the PFS flush deferred.")
-	c.writtenBytesFg = reg.Counter("monarch_written_bytes_total",
-		"Foreground bytes acked by the write path.")
-	c.flushes = reg.Counter("monarch_flushes_total",
-		"Background flushes of write-back files to the PFS.")
-	c.flushedBytes = reg.Counter("monarch_flushed_bytes_total",
-		"Dirty bytes retired by background flushes.")
-	c.writeStalls = reg.Counter("monarch_write_stalls_total",
-		"Writers that blocked on the dirty budget until the flusher drained.")
-	c.removes = reg.Counter("monarch_removes_total",
-		"Writable files deleted through Remove.")
-	c.recoveredFiles = reg.Counter("monarch_recovered_files_total",
-		"Files whose journaled write-back state was replayed into the PFS after a crash.")
-	c.placementPauses = reg.Counter("monarch_placement_pauses_total",
-		"Background placement tasks paused by the checkpoint-burst gate.")
-}
-
-func (c *statsCollector) served(level int, bytes int64) {
-	c.readsServed[level].Inc()
-	c.bytesServed[level].Add(bytes)
+	for _, r := range c.counters(&Stats{}) {
+		*r.c = reg.Counter(r.name, r.help)
+	}
 }
 
 // placedOn records a whole placement landing on level.
@@ -364,40 +346,12 @@ func (c *statsCollector) hitRatio() float64 {
 
 func (c *statsCollector) snapshot(inFlight int) Stats {
 	s := Stats{
-		ReadsServed:      make([]int64, len(c.readsServed)),
-		BytesServed:      make([]int64, len(c.bytesServed)),
-		Placements:       c.placements.Value(),
-		PlacedBytes:      c.placedBytes.Value(),
-		PlacementSkips:   c.placementSkips.Value(),
-		PlacementErrors:  c.placementErrors.Value(),
-		FullReadReuses:   c.fullReadReuses.Value(),
-		ChunkPlacements:  c.chunkPlacements.Value(),
-		PartialHits:      c.partialHits.Value(),
-		PartialHitBytes:  c.partialHitBytes.Value(),
-		PeerHits:         c.peerHits.Value(),
-		PeerHitBytes:     c.peerHitBytes.Value(),
-		PeerMisses:       c.peerMisses.Value(),
-		PeerHedges:       c.peerHedges.Value(),
-		Fallbacks:        c.fallbacks.Value(),
-		Evictions:        c.evictions.Value(),
-		EvictionRaces:    c.evictionRaces.Value(),
-		Promotions:       c.promotions.Value(),
-		Demotions:        c.demotions.Value(),
-		PlacementRetries: c.retries.Value(),
-		TierTrips:        c.tierTrips.Value(),
-		TierRecoveries:   c.tierRecoveries.Value(),
-		Probes:           c.probes.Value(),
-		Creates:          c.creates.Value(),
-		Writes:           c.writes.Value(),
-		WriteBacks:       c.writeBacks.Value(),
-		WrittenBytes:     c.writtenBytesFg.Value(),
-		Flushes:          c.flushes.Value(),
-		FlushedBytes:     c.flushedBytes.Value(),
-		WriteStalls:      c.writeStalls.Value(),
-		Removes:          c.removes.Value(),
-		RecoveredFiles:   c.recoveredFiles.Value(),
-		PlacementPauses:  c.placementPauses.Value(),
-		InFlight:         inFlight,
+		ReadsServed: make([]int64, len(c.readsServed)),
+		BytesServed: make([]int64, len(c.bytesServed)),
+		InFlight:    inFlight,
+	}
+	for _, r := range c.counters(&s) {
+		*r.v = (*r.c).Value()
 	}
 	for i := range c.readsServed {
 		s.ReadsServed[i] = c.readsServed[i].Value()

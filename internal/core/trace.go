@@ -43,8 +43,7 @@ func (m *Monarch) closeTrace() {
 	m.traceOnce.Do(func() {
 		m.tracer.AddSummary(m.traceSummary())
 		if err := m.tracer.Close(); err != nil {
-			m.inst.errCleanup.Inc()
-			m.event(Event{Kind: EventOpError, File: m.cfg.TracePath, Level: -1, Err: err})
+			m.opError(stageCleanup, m.cfg.TracePath, -1, err)
 		}
 	})
 }
@@ -101,10 +100,6 @@ func (m *Monarch) MarkEpoch(n int) {
 		ea.AdvanceEpoch()
 	}
 }
-
-// MarkTraceEpoch is the historical name of MarkEpoch, kept for existing
-// training loops; it forwards unchanged.
-func (m *Monarch) MarkTraceEpoch(n int) { m.MarkEpoch(n) }
 
 // Tracer exposes the access-trace recorder (nil without
 // Config.TracePath), so harnesses can merge their own counters into

@@ -382,27 +382,25 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile) error {
 		f.mu.Unlock()
 		return nil
 	}
-	start := time.Now()
+	start := m.now()
 	// The tier-0 content as of `covered` is fully visible here: writers
 	// update lastSeq only after their tier-0 write returns.
 	data, err := m.levels[0].backend.ReadFile(ctx, f.name)
 	if err == nil {
 		err = m.source.backend.WriteFile(ctx, f.name, data)
 	}
-	dur := time.Since(start)
+	dur := m.now() - start
+	o := outcome{Span: obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err}, dirty: snap}
 	if err != nil {
 		f.mu.Lock()
 		f.flushing = false
 		f.mu.Unlock()
-		m.inst.errFlush.Inc()
-		m.event(Event{Kind: EventOpError, File: f.name, Level: m.source.level, Err: err})
-		m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err, Duration: dur})
+		m.record(&o, dur)
 		return err
 	}
 	if ws.jn != nil {
 		if _, jerr := ws.jn.Append(journal.Record{Kind: recFlush, Name: f.name, Off: covered}); jerr != nil {
-			m.inst.errJournal.Inc()
-			m.event(Event{Kind: EventOpError, File: f.name, Level: -1, Err: jerr})
+			m.opError(stageJournal, f.name, -1, jerr)
 		}
 	}
 	f.mu.Lock()
@@ -410,11 +408,7 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile) error {
 	f.flushing = false
 	f.mu.Unlock()
 	ws.release(snap)
-	m.stats.flushes.Inc()
-	m.stats.flushedBytes.Add(snap)
-	m.inst.flushLatency.Observe(dur.Seconds())
-	m.event(Event{Kind: EventFlushed, File: f.name, Level: m.source.level, Bytes: snap})
-	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Duration: dur})
+	m.record(&o, dur)
 	return nil
 }
 
@@ -464,7 +458,7 @@ func (ws *writeState) close(graceful bool) {
 		ws.persistHeat()
 	}
 	if err := ws.jn.Close(); err != nil {
-		ws.m.inst.errJournal.Inc()
+		ws.m.inst.errs[stageJournal].Inc()
 	}
 }
 
@@ -476,7 +470,7 @@ func (ws *writeState) persistHeat() {
 	if !ok {
 		if ws.dirtyBytes() == 0 {
 			if err := ws.jn.Compact(nil); err != nil {
-				ws.m.inst.errJournal.Inc()
+				ws.m.inst.errs[stageJournal].Inc()
 			}
 		}
 		return
@@ -501,7 +495,7 @@ func (ws *writeState) persistHeat() {
 		})
 	}
 	if err := ws.jn.Compact(recs); err != nil {
-		ws.m.inst.errJournal.Inc()
+		ws.m.inst.errs[stageJournal].Inc()
 	}
 }
 
@@ -687,7 +681,7 @@ func (m *Monarch) Create(ctx context.Context, name string, size int64) error {
 	if back && ws.jn != nil {
 		if _, err := ws.jn.Append(journal.Record{Kind: recAlloc, Name: name, Off: uint64(size)}); err != nil {
 			m.meta.remove(name)
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			return fmt.Errorf("monarch: create %q: %w", name, err)
 		}
 	}
@@ -713,18 +707,16 @@ func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64)
 	if ws == nil {
 		return 0, ErrWritesDisabled
 	}
-	start := time.Now()
+	start := m.now()
+	var err error
 	f := ws.file(name)
 	if f == nil {
-		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
-		return 0, err
+		err = fmt.Errorf("%w: %q", ErrNotWritable, name)
+	} else if off < 0 || off+int64(len(p)) > f.size {
+		err = fmt.Errorf("monarch: write [%d,%d) outside %q (size %d)", off, off+int64(len(p)), name, f.size)
 	}
-	if off < 0 || off+int64(len(p)) > f.size {
-		err := fmt.Errorf("monarch: write [%d,%d) outside %q (size %d)", off, off+int64(len(p)), name, f.size)
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
+	if err != nil {
+		m.record(&outcome{Span: obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err}}, m.now()-start)
 		return 0, err
 	}
 	if len(p) == 0 {
@@ -737,32 +729,26 @@ func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64)
 }
 
 // writeThrough lands the bytes on the PFS before acking.
-func (ws *writeState) writeThrough(ctx context.Context, f *writeFile, p []byte, off int64, start time.Time) (int, error) {
+func (ws *writeState) writeThrough(ctx context.Context, f *writeFile, p []byte, off int64, start time.Duration) (int, error) {
 	m := ws.m
 	rw := m.source.backend.(storage.RangeWriter)
 	n, err := rw.WriteAt(ctx, f.name, p, off)
-	dur := time.Since(start)
-	if err != nil {
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Err: err, Duration: dur})
-		return n, err
+	now := m.now()
+	if err == nil {
+		ws.lastWrite.Store(int64(now))
 	}
-	ws.lastWrite.Store(int64(time.Since(m.base)))
-	m.stats.writes.Inc()
-	m.stats.writtenBytesFg.Add(int64(n))
-	m.inst.writeLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Bytes: int64(n), Duration: dur})
-	return n, nil
+	m.record(&outcome{Span: obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Bytes: int64(n), Err: err}}, now-start)
+	return n, err
 }
 
 // writeBack journals the bytes, lands them on tier 0, and acks; the
 // flusher owns getting them to the PFS.
-func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off int64, start time.Time) (int, error) {
+func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off int64, start time.Duration) (int, error) {
 	m := ws.m
+	o := outcome{Span: obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off, Flags: obs.FlagWriteBack}}
 	fail := func(n int, err error) (int, error) {
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off,
-			Flags: obs.FlagWriteBack, Err: err, Duration: time.Since(start)})
+		o.Err = err
+		m.record(&o, m.now()-start)
 		return n, err
 	}
 	stalled, err := ws.reserve(ctx, int64(len(p)))
@@ -777,7 +763,7 @@ func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off
 		if err != nil {
 			f.wmu.Unlock()
 			ws.release(int64(len(p)))
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			return fail(0, err)
 		}
 	}
@@ -798,18 +784,11 @@ func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off
 	if int64(n) < int64(len(p)) {
 		ws.release(int64(len(p)) - int64(n))
 	}
-	ws.lastWrite.Store(int64(time.Since(m.base)))
+	now := m.now()
+	ws.lastWrite.Store(int64(now))
 	ws.nudge()
-	dur := time.Since(start)
-	m.stats.writes.Inc()
-	m.stats.writeBacks.Inc()
-	m.stats.writtenBytesFg.Add(int64(n))
-	if stalled {
-		m.event(Event{Kind: EventWriteStalled, File: f.name, Level: 0, Bytes: int64(n)})
-	}
-	m.inst.writeLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off, Bytes: int64(n),
-		Flags: obs.FlagWriteBack, Duration: dur})
+	o.Bytes, o.stalled = int64(n), stalled
+	m.record(&o, now-start)
 	return n, nil
 }
 
@@ -852,13 +831,13 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	if ws == nil {
 		return ErrWritesDisabled
 	}
-	start := time.Now()
+	start := m.now()
+	o := outcome{Span: obs.Span{Kind: obs.SpanRemove, File: name, Tier: -1}}
 	f := ws.file(name)
 	if f == nil {
-		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: -1, Err: err, Duration: time.Since(start)})
-		return err
+		o.Err = fmt.Errorf("%w: %q", ErrNotWritable, name)
+		m.record(&o, m.now()-start)
+		return o.Err
 	}
 	f.mu.Lock()
 	f.removed = true
@@ -868,8 +847,7 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	ws.release(voided)
 	if ws.jn != nil {
 		if _, err := ws.jn.Append(journal.Record{Kind: recRemove, Name: name}); err != nil {
-			m.inst.errJournal.Inc()
-			m.event(Event{Kind: EventOpError, File: name, Level: -1, Err: err})
+			m.opError(stageJournal, name, -1, err)
 		}
 	}
 	ws.mu.Lock()
@@ -877,20 +855,19 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	ws.mu.Unlock()
 	m.meta.remove(name)
 	if f.back {
+		o.Tier = 0
 		if err := m.levels[0].backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			m.inst.errWrite.Inc()
-			m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: 0, Err: err, Duration: time.Since(start)})
-			return err
+			o.Err = err
 		}
 	}
-	if err := m.source.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		m.inst.errWrite.Inc()
-		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: m.source.level, Err: err, Duration: time.Since(start)})
-		return err
+	if o.Err == nil {
+		o.Tier = m.source.level
+		if err := m.source.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
+			o.Err = err
+		}
 	}
-	m.stats.removes.Inc()
-	m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: m.source.level, Duration: time.Since(start)})
-	return nil
+	m.record(&o, m.now()-start)
+	return o.Err
 }
 
 // DirtyBytes reports the write-back bytes acked but not yet flushed to

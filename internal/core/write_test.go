@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"monarch/internal/obs"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
@@ -130,6 +131,56 @@ func TestWriteBackAcksOnTier0ThenFlushes(t *testing.T) {
 	// Reads of the write-back file serve from tier 0.
 	if lvl, err := f.m.LevelOf(name); err != nil || lvl != 0 {
 		t.Fatalf("LevelOf(%s) = %d, %v; want tier 0", name, lvl, err)
+	}
+}
+
+// TestWriteBackFailuresAreRecorded: a write-back write that fails on
+// tier 0 or in the journal is charged to its error stages, spans the
+// failure and leaves no dirty bytes behind.
+func TestWriteBackFailuresAreRecorded(t *testing.T) {
+	var tier0 *storage.Faulty
+	var spans []obs.Span
+	var mu sync.Mutex
+	f := newWriteFixture(t, 1, func(c *Config) {
+		tier0 = storage.NewFaulty(c.Levels[0])
+		c.Levels[0] = tier0
+		c.Write.Durability = backAll
+		c.Write.JournalPath = filepath.Join(t.TempDir(), "wal")
+		c.Trace = func(s obs.Span) {
+			mu.Lock()
+			spans = append(spans, s)
+			mu.Unlock()
+		}
+	})
+	ctx := context.Background()
+	if err := f.m.Create(ctx, "ckpt", 64); err != nil {
+		t.Fatal(err)
+	}
+	tier0.FailNextWrites(1)
+	if _, err := f.m.WriteAt(ctx, "ckpt", make([]byte, 64), 0); err == nil {
+		t.Fatal("write-back over a failing tier 0 acked")
+	}
+	f.m.writes.jn.Close()
+	if _, err := f.m.WriteAt(ctx, "ckpt", make([]byte, 64), 0); err == nil {
+		t.Fatal("write-back with a closed journal acked")
+	}
+	vars := f.m.Registry().Vars()
+	if w, j := vars[`monarch_errors_total{stage="write"}`], vars[`monarch_errors_total{stage="journal"}`]; w != 2 || j != 1 {
+		t.Fatalf("error stages: write %v journal %v, want 2 and 1", w, j)
+	}
+	if s := f.m.Stats(); s.Writes != 0 || s.DirtyBytes != 0 || f.m.DirtyBytes() != 0 {
+		t.Fatalf("failed writes left writes=%d dirty=%d", s.Writes, s.DirtyBytes)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var failed int
+	for _, s := range spans {
+		if s.Kind == obs.SpanWrite && s.Err != nil && s.Flags&obs.FlagWriteBack != 0 && s.Tier == 0 && s.Bytes == 0 {
+			failed++
+		}
+	}
+	if failed != 2 {
+		t.Fatalf("%d failed write-back spans, want 2", failed)
 	}
 }
 

@@ -612,7 +612,7 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 					return
 				}
 				if node == 0 || cfg.TraceDir != "" {
-					m.MarkTraceEpoch(epoch)
+					m.MarkEpoch(epoch)
 				}
 				barrier.await()
 			}
