@@ -30,7 +30,7 @@ lint: vet
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -tags debug ./internal/bufpool/
+	$(GO) test -tags debug ./internal/bufpool/ ./internal/tfrecord/ ./internal/recordio/ ./internal/dataset/
 	$(GO) test -race -short ./internal/core/ ./internal/pool/ ./internal/storage/ ./internal/obs/ ./internal/bufpool/ ./internal/peernet/ ./internal/journal/
 	$(MAKE) trace-smoke
 	$(MAKE) peer-smoke

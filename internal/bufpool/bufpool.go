@@ -1,6 +1,7 @@
 // Package bufpool provides size-classed reusable byte buffers for the
 // hot I/O paths: chunk-copy staging, peernet frame payloads, probe
-// scratch. Buffers are recycled through per-class sync.Pools, so a
+// scratch, and the record payloads of the format readers (Stream).
+// Buffers are recycled through per-class sync.Pools, so a
 // steady-state read or placement loop stops paying an allocation (and
 // the GC pressure of a short-lived multi-megabyte slice) per
 // operation.
@@ -33,19 +34,34 @@ import (
 	"sync/atomic"
 )
 
-// pool wraps sync.Pool storing *[]byte, so Get of a pooled buffer
-// allocates nothing (the one small box per Put is the price of
-// interface boxing; the payload slice itself is what matters).
+// pool wraps sync.Pool storing *[]byte. The *[]byte boxes are
+// recycled through boxes, so neither Get nor Put allocates once the
+// pools are warm.
 type pool struct{ p sync.Pool }
 
+// boxes holds emptied *[]byte boxes, shared by all classes.
+var boxes sync.Pool
+
 func (pl *pool) get() []byte {
-	if v := pl.p.Get(); v != nil {
-		return *(v.(*[]byte))
+	v := pl.p.Get()
+	if v == nil {
+		return nil
 	}
-	return nil
+	box := v.(*[]byte)
+	b := *box
+	*box = nil
+	boxes.Put(box)
+	return b
 }
 
-func (pl *pool) put(b []byte) { pl.p.Put(&b) }
+func (pl *pool) put(b []byte) {
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b
+	pl.p.Put(box)
+}
 
 const (
 	// minClassBits..maxClassBits: 512 B .. 4 MiB.

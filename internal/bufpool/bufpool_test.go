@@ -105,6 +105,18 @@ func TestReslicedPut(t *testing.T) {
 	}
 }
 
+// TestGetPutAllocatesNothing: once a class holds a buffer, a Get/Put
+// round trip allocates neither the buffer nor the pool's box for it.
+func TestGetPutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	Put(Get(4096))
+	if allocs := testing.AllocsPerRun(100, func() { Put(Get(4096)) }); allocs != 0 {
+		t.Fatalf("Get+Put: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestConcurrent hammers Get/Put from many goroutines and checks the
 // balance identity afterwards — mostly a race-detector target.
 func TestConcurrent(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReader feeds arbitrary bytes to the RecordIO reader: no panics,
-// and agreement with BuildIndex on stream validity.
+// agreement with BuildIndex on stream validity, and every payload equal,
+// byte for byte, to the slice of the input it was framed in.
 func FuzzReader(f *testing.F) {
 	var valid bytes.Buffer
 	w := NewWriter(&valid)
@@ -28,6 +29,7 @@ func FuzzReader(f *testing.F) {
 		records := 0
 		var readErr error
 		for {
+			off := r.Offset()
 			payload, err := r.Next()
 			if err == io.EOF {
 				break
@@ -36,9 +38,14 @@ func FuzzReader(f *testing.F) {
 				readErr = err
 				break
 			}
-			if records < len(idx) && int64(len(payload)) != idx[records].Length {
-				t.Fatalf("record %d: reader length %d, index %d",
-					records, len(payload), idx[records].Length)
+			if want := data[off+headerSize : off+headerSize+int64(len(payload))]; !bytes.Equal(payload, want) {
+				t.Fatalf("record %d at offset %d: payload differs from the input", records, off)
+			}
+			if records < len(idx) {
+				e := idx[records]
+				if !bytes.Equal(payload, data[e.Offset+headerSize:e.Offset+headerSize+e.Length]) {
+					t.Fatalf("record %d: payload differs from index entry %+v", records, e)
+				}
 			}
 			records++
 		}

@@ -18,6 +18,12 @@
 // This implementation writes single-part records (cflag 0) and rejects
 // multi-part records on read; MXNet only emits multi-part framing for
 // records larger than the 2^29-byte field, far beyond image sizes.
+//
+// Reader has the same contract as tfrecord.Reader: the payload Next
+// returns is valid only until the next call to Next, and a caller that
+// keeps a record copies it (bytes.Clone). A warm Reader allocates
+// nothing per record, and its buffers go back to their pools when Next
+// returns io.EOF or an error.
 package recordio
 
 import (
@@ -26,6 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"monarch/internal/bufpool"
 )
 
 // Magic is the per-record marker word.
@@ -100,21 +108,41 @@ func (w *Writer) Written() int64 { return w.written }
 // Records returns the number of records written.
 func (w *Writer) Records() int { return w.records }
 
-// Reader iterates records.
+// Reader iterates records, reusing one payload buffer across records
+// (see the package doc for the contract).
 type Reader struct {
-	r      *bufio.Reader
-	offset int64
+	src     bufpool.Stream
+	scratch [headerSize]byte // header and padding, kept here so they do not escape
+	offset  int64
+	err     error // first error or io.EOF, returned by every later Next
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{src: bufpool.NewStream(r)}
 }
 
-// Next returns the next payload, or io.EOF cleanly at stream end.
+// Next returns the next payload, or io.EOF cleanly at stream end. The
+// returned slice is only valid until the next call to Next, which
+// overwrites it. Once Next has returned io.EOF or an error, the Reader
+// has given its buffers back to their pools, and every later call
+// returns that same error.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r.r, hdr[:])
+	if r.err != nil {
+		return nil, r.err
+	}
+	data, err := r.next()
+	if err != nil {
+		r.err = err
+		r.src.Release()
+		return nil, err
+	}
+	return data, nil
+}
+
+func (r *Reader) next() ([]byte, error) {
+	hdr := r.scratch[:]
+	n, err := r.src.ReadFull(hdr)
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF
 	}
@@ -129,13 +157,12 @@ func (r *Reader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("%w (cflag %d at offset %d)", ErrMultiPart, cflag, r.offset)
 	}
 	length := int64(lrecord & maxLength)
-	data, err := readPayload(r.r, length)
+	data, err := r.src.ReadPayload(length)
 	if err != nil {
 		return nil, fmt.Errorf("%w: payload at offset %d", ErrTruncated, r.offset)
 	}
 	if pad := Pad(length); pad > 0 {
-		var buf [3]byte
-		if _, err := io.ReadFull(r.r, buf[:pad]); err != nil {
+		if _, err := r.src.ReadFull(r.scratch[:pad]); err != nil {
 			return nil, fmt.Errorf("%w: padding at offset %d", ErrTruncated, r.offset)
 		}
 	}
@@ -145,28 +172,6 @@ func (r *Reader) Next() ([]byte, error) {
 
 // Offset returns the stream offset of the next record.
 func (r *Reader) Offset() int64 { return r.offset }
-
-// readPayload reads exactly n bytes, growing the buffer incrementally
-// so a corrupted length field cannot force a huge up-front allocation.
-func readPayload(r io.Reader, n int64) ([]byte, error) {
-	const chunk = 1 << 20
-	data := make([]byte, 0, min64(n, chunk))
-	for int64(len(data)) < n {
-		want := min64(n-int64(len(data)), chunk)
-		data = append(data, make([]byte, want)...)
-		if _, err := io.ReadFull(r, data[int64(len(data))-want:]); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Entry locates one record in a serialized stream.
 type Entry struct {

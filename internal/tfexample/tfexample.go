@@ -415,6 +415,12 @@ func ImageExample(image []byte, label int64, filename string) Example {
 // MarshalToSize marshals an ImageExample whose serialized form is
 // exactly size bytes, by sizing the embedded image. It fails if size is
 // too small to hold the fixed fields.
+//
+// One more image byte can also grow a length varint, so the serialized
+// size can jump past size. At such sizes the last image length that
+// falls short is kept, and the outermost length varint is written with
+// redundant continuation bytes to make up the difference; protobuf
+// decoders, and Unmarshal, accept such non-minimal varints.
 func MarshalToSize(label int64, filename string, size int, fill byte) ([]byte, error) {
 	// Serialized size is monotone in the image length; binary-search
 	// would be overkill since varint boundaries shift by at most a few
@@ -428,11 +434,14 @@ func MarshalToSize(label int64, filename string, size int, fill byte) ([]byte, e
 	for i := range img {
 		img[i] = fill
 	}
+	overshot := false // some image length already serialized past size
 	for {
 		out := Marshal(ImageExample(img, label, filename))
 		switch {
 		case len(out) == size:
 			return out, nil
+		case len(out) < size && overshot:
+			return padOuterLength(out, size-len(out)), nil
 		case len(out) < size:
 			img = append(img, fill)
 		default:
@@ -441,6 +450,23 @@ func MarshalToSize(label int64, filename string, size int, fill byte) ([]byte, e
 					size, len(out))
 			}
 			img = img[:len(img)-1]
+			overshot = true
 		}
 	}
+}
+
+// padOuterLength re-encodes the length of Example.features in msg, a
+// Marshal output, with extra redundant varint bytes. One image byte
+// grows at most the five nested length varints, so extra is at most 5
+// and the padded varint fits in 10 bytes for any message under 32 GiB.
+func padOuterLength(msg []byte, extra int) []byte {
+	n, w := binary.Uvarint(msg[1:])
+	out := make([]byte, 0, len(msg)+extra)
+	out = append(out, msg[0])
+	out = appendVarint(out, n)
+	for i := 0; i < extra; i++ {
+		out[len(out)-1] |= 0x80
+		out = append(out, 0)
+	}
+	return append(out, msg[1+w:]...)
 }

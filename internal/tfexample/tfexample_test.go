@@ -2,6 +2,7 @@ package tfexample
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,44 @@ func TestMarshalToSizeProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalToSizeExhaustive: every size from the smallest possible
+// up to 5090 comes out exact and decodes back to the requested example,
+// including the sizes where one more image byte grows a length varint
+// and the serialized size jumps past the target.
+func TestMarshalToSizeExhaustive(t *testing.T) {
+	for _, label := range []int64{1, 300, -1} {
+		for _, name := range []string{"f", "", "shard-0001/img-00042.jpg"} {
+			minSize := len(Marshal(ImageExample(nil, label, name)))
+			padded := 0
+			for size := minSize; size < 5090; size++ {
+				out, err := MarshalToSize(label, name, size, 0x5A)
+				if err != nil {
+					t.Fatalf("label %d name %q size %d: %v", label, name, size, err)
+				}
+				if len(out) != size {
+					t.Fatalf("label %d name %q size %d: got %d bytes", label, name, size, len(out))
+				}
+				ex, err := Unmarshal(out)
+				if err != nil {
+					t.Fatalf("label %d name %q size %d: %v", label, name, size, err)
+				}
+				img := ex["image/encoded"].Bytes
+				if len(ex) != 3 || len(img) != 1 || bytes.Count(img[0], []byte{0x5A}) != len(img[0]) ||
+					!slices.Equal(ex["image/class/label"].Ints, []int64{label}) ||
+					len(ex["image/filename"].Bytes) != 1 || string(ex["image/filename"].Bytes[0]) != name {
+					t.Fatalf("label %d name %q size %d: decoded %v", label, name, size, ex)
+				}
+				if !bytes.Equal(Marshal(ex), out) {
+					padded++
+				}
+			}
+			if padded == 0 {
+				t.Errorf("label %d name %q: no size needed a padded varint; the test lost its point", label, name)
+			}
+		}
 	}
 }
 

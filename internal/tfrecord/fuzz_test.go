@@ -8,7 +8,9 @@ import (
 
 // FuzzReader feeds arbitrary bytes to the record reader: it must never
 // panic and must either parse records consistently with BuildIndex or
-// report a typed corruption error.
+// report a typed corruption error. Every payload must equal, byte for
+// byte, the slice of the input it was framed in, which catches a reused
+// buffer that leaks bytes from an earlier record.
 func FuzzReader(f *testing.F) {
 	// Seed corpus: valid streams and near-miss corruptions.
 	var valid bytes.Buffer
@@ -31,6 +33,7 @@ func FuzzReader(f *testing.F) {
 		var records int
 		var readErr error
 		for {
+			off := r.Offset()
 			payload, err := r.Next()
 			if err == io.EOF {
 				break
@@ -39,9 +42,14 @@ func FuzzReader(f *testing.F) {
 				readErr = err
 				break
 			}
-			if records < len(idx) && int64(len(payload)) != idx[records].Length {
-				t.Fatalf("record %d: reader length %d, index %d",
-					records, len(payload), idx[records].Length)
+			if want := data[off+12 : off+12+int64(len(payload))]; !bytes.Equal(payload, want) {
+				t.Fatalf("record %d at offset %d: payload differs from the input", records, off)
+			}
+			if records < len(idx) {
+				e := idx[records]
+				if !bytes.Equal(payload, data[e.Offset+12:e.Offset+12+e.Length]) {
+					t.Fatalf("record %d: payload differs from index entry %+v", records, e)
+				}
 			}
 			records++
 		}

@@ -17,6 +17,13 @@
 //
 // where masked_crc32c(x) = rotr15(crc32c(x)) + 0xa282ead8, matching
 // TensorFlow's record writer.
+//
+// Reader follows TensorFlow's RecordReader contract: the payload Next
+// returns is valid only until the next call to Next, and a caller that
+// keeps a record copies it (bytes.Clone). In exchange a warm Reader
+// allocates nothing per record: payloads land in one reused buffer and
+// the read buffer comes from a pool (bufpool.Stream), and both go back
+// to their pools when Next returns io.EOF or an error.
 package tfrecord
 
 import (
@@ -26,6 +33,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"monarch/internal/bufpool"
 )
 
 // Overhead is the framing overhead per record in bytes.
@@ -94,24 +103,43 @@ func (w *Writer) Records() int { return w.records }
 // RecordSize returns the on-disk footprint of a payload of n bytes.
 func RecordSize(n int64) int64 { return n + Overhead }
 
-// Reader iterates records from an io.Reader.
+// Reader iterates records from an io.Reader, reusing one payload
+// buffer across records (see the package doc for the contract).
 type Reader struct {
-	r      *bufio.Reader
-	offset int64
+	src     bufpool.Stream
+	scratch [12]byte // header and footer, kept here so they do not escape
+	offset  int64
+	err     error // first error or io.EOF, returned by every later Next
 	// Verify controls CRC checking; disabled it still parses framing.
 	Verify bool
 }
 
 // NewReader wraps r with CRC verification enabled.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16), Verify: true}
+	return &Reader{src: bufpool.NewStream(r), Verify: true}
 }
 
 // Next returns the next record payload, or io.EOF cleanly at the end of
-// the stream. The returned slice is freshly allocated.
+// the stream. The returned slice is only valid until the next call to
+// Next, which overwrites it. Once Next has returned io.EOF or an error,
+// the Reader has given its buffers back to their pools, and every later
+// call returns that same error.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [12]byte
-	n, err := io.ReadFull(r.r, hdr[:])
+	if r.err != nil {
+		return nil, r.err
+	}
+	data, err := r.next()
+	if err != nil {
+		r.err = err
+		r.src.Release()
+		return nil, err
+	}
+	return data, nil
+}
+
+func (r *Reader) next() ([]byte, error) {
+	hdr := r.scratch[:]
+	n, err := r.src.ReadFull(hdr)
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF
 	}
@@ -125,15 +153,15 @@ func (r *Reader) Next() ([]byte, error) {
 	if length > 1<<40 {
 		return nil, fmt.Errorf("tfrecord: implausible record length %d at offset %d", length, r.offset)
 	}
-	data, err := readPayload(r.r, int64(length))
+	data, err := r.src.ReadPayload(int64(length))
 	if err != nil {
 		return nil, fmt.Errorf("%w: payload at offset %d", ErrTruncated, r.offset)
 	}
-	var foot [4]byte
-	if _, err := io.ReadFull(r.r, foot[:]); err != nil {
+	foot := r.scratch[:4]
+	if _, err := r.src.ReadFull(foot); err != nil {
 		return nil, fmt.Errorf("%w: footer at offset %d", ErrTruncated, r.offset)
 	}
-	if r.Verify && binary.LittleEndian.Uint32(foot[:]) != MaskedCRC(data) {
+	if r.Verify && binary.LittleEndian.Uint32(foot) != MaskedCRC(data) {
 		return nil, fmt.Errorf("%w at offset %d", ErrBadDataCRC, r.offset)
 	}
 	r.offset += int64(length) + Overhead
@@ -142,28 +170,6 @@ func (r *Reader) Next() ([]byte, error) {
 
 // Offset returns the stream offset of the next record.
 func (r *Reader) Offset() int64 { return r.offset }
-
-// readPayload reads exactly n bytes, growing the buffer incrementally
-// so a corrupted length field cannot force a huge up-front allocation.
-func readPayload(r io.Reader, n int64) ([]byte, error) {
-	const chunk = 1 << 20
-	capHint := n
-	if capHint > chunk {
-		capHint = chunk
-	}
-	data := make([]byte, 0, capHint)
-	for int64(len(data)) < n {
-		want := n - int64(len(data))
-		if want > chunk {
-			want = chunk
-		}
-		data = append(data, make([]byte, want)...)
-		if _, err := io.ReadFull(r, data[int64(len(data))-want:]); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
 
 // Entry locates one record inside a shard file.
 type Entry struct {

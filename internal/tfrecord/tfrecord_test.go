@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -282,28 +283,24 @@ func BenchmarkWriter(b *testing.B) {
 	}
 }
 
+// BenchmarkReader drains one fresh Reader per 64-record shard, the
+// way a loader opens one reader per shard file; one op is one shard.
 func BenchmarkReader(b *testing.B) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	payload := make([]byte, 64*1024)
-	for i := 0; i < 64; i++ {
-		_ = w.Write(payload)
-	}
-	_ = w.Flush()
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 0 {
-			b.StopTimer()
-			r := NewReader(bytes.NewReader(raw))
-			b.StartTimer()
-			for j := 0; j < 64 && i+j < b.N; j++ {
-				if _, err := r.Next(); err != nil {
+	raw := shardOf(b, slices.Repeat([][]byte{payload}, 64)...)
+	src := bytes.NewReader(raw)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		src.Reset(raw)
+		r := NewReader(src)
+		for {
+			if _, err := r.Next(); err != nil {
+				if err != io.EOF {
 					b.Fatal(err)
 				}
+				break
 			}
-			i += 63
 		}
 	}
 }
